@@ -151,7 +151,7 @@ func main() {
 	routeChunks := flag.Uint64("route-chunks", 0, "routing granule in 4 KiB chunks (0 = default)")
 	submitBatch := flag.Int("submit-batch", 256, "client-side submission batch: requests bucketed per shard and enqueued in one send (1 = per-request Submit)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the serving harness to this file")
-	benchJSON := flag.String("bench-json", "", "append this run to a perf trajectory JSON file")
+	benchJSON := flag.String("bench-json", "", "add this run to a perf trajectory JSON file (replacing an entry with the same -bench-label)")
 	benchLabel := flag.String("bench-label", "podload", "label recorded in the -bench-json trajectory")
 	metricsOut := flag.String("metrics-out", "", "write the merged metrics snapshot (with sampled traces) as JSON to this file")
 	metricsProm := flag.String("metrics-prom", "", "write the merged metrics snapshot as Prometheus text to this file")
@@ -787,9 +787,10 @@ func main() {
 	}
 	if *gfp {
 		g := snap.Metrics.Gauges
-		fmt.Printf("globalfp: ads queued=%d dropped=%d | dups detected=%d hints broadcast=%d installed=%d | table entries=%d fixes=%d\n",
+		fmt.Printf("globalfp: ads queued=%d dropped=%d | dups detected=%d hints broadcast=%d installed=%d held=%d evicted=%d | table entries=%d fixes=%d\n",
 			g["globalfp_ads_queued"], g["globalfp_ads_dropped"],
 			g["globalfp_dups_detected"], g["globalfp_hints_broadcast"], g["globalfp_hints_installed"],
+			g["globalfp_hint_entries"], g["globalfp_hints_evicted"],
 			g["globalfp_table_entries"], g["globalfp_table_fixes"])
 		fmt.Printf("globalfp: remaps applied=%d rejected=%d reclaimed=%d blocks | pins granted=%d rejects=%d | recalls %d sent %d done\n",
 			g["globalfp_remaps_applied"], g["globalfp_remaps_rejected"], g["globalfp_reclaimed_blocks"],
@@ -986,9 +987,10 @@ func main() {
 		} {
 			track.Annotate(k, v)
 		}
-		// Merge rather than overwrite: a shard sweep appends one
-		// entry per run (named by -bench-label) to the trajectory
-		// podbench wrote, building the flood-capacity curve in place.
+		// Merge rather than overwrite: a shard sweep adds one entry
+		// per run (named by -bench-label) to the trajectory podbench
+		// wrote, building the flood-capacity curve in place; a rerun
+		// of a label replaces its entry.
 		if err := track.MergeJSON(*benchJSON, *benchLabel, *scale); err != nil {
 			fmt.Fprintf(os.Stderr, "podload: %v\n", err)
 			os.Exit(1)

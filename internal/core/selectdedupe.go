@@ -66,7 +66,8 @@ func (s *SelectDedupe) Flush(now sim.Time) { s.base.FlushBackground(now) }
 
 // Write runs the Select-Dedupe write path of Figure 6: split,
 // fingerprint, consult the hot index (memory only — a miss just means
-// a lost opportunity), classify per Figure 5, absorb the deduplicated
+// a lost opportunity; with the global tier on, a miss falls through to
+// its hint table), classify per Figure 5, absorb the deduplicated
 // chunks into the Map table, and write the rest contiguously.
 func (s *SelectDedupe) Write(req *trace.Request) (sim.Duration, error) {
 	t := req.Time
@@ -79,10 +80,13 @@ func (s *SelectDedupe) Write(req *trace.Request) (sim.Duration, error) {
 	ready := t.Add(fpCost)
 
 	dup, dedupe, target := s.base.WriteScratch(len(chs))
+	hints := s.base.Hints
 	for i := range chs {
 		if e, ok := s.base.IC.IndexLookupS(uint32(req.Stream), chs[i].FP); ok {
 			dup[i] = true
 			target[i] = e.PBA
+		} else if hints != nil {
+			target[i], dup[i] = hints(chs[i].FP)
 		}
 	}
 

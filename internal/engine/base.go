@@ -153,6 +153,12 @@ type Base struct {
 	// inline path stays shard-local regardless of tier load.
 	Ads AdSink
 
+	// Hints, when set, is the write path's second lookup: on a hot-index
+	// miss the engine asks it for a remote canonical bound to the
+	// fingerprint (the global fingerprint tier's grants, held in a table
+	// of their own so they never displace the shard's hot fingerprints).
+	Hints func(fp chunk.Fingerprint) (alloc.PBA, bool)
+
 	// OnRemoteRef, when set, is invoked on reference-count transitions
 	// of remote-encoded canonical blocks: up=true when the first local
 	// mapping referencing the canonical appears, up=false when the
@@ -658,8 +664,8 @@ func resetBools(s []bool, n int) []bool {
 // purge, and the engine-specific hook. A remote-encoded canonical that
 // lost its last local reference has nothing local to reclaim — the
 // block lives on the owning shard — so only the OnRemoteRef down
-// transition fires; the index hint stays valid (the binding holds as
-// long as the owner keeps the canonical pinned, and a revoke purges it
+// transition fires; the tier's hint stays valid (the binding holds as
+// long as the owner keeps the canonical pinned, and a revoke drops it
 // before the owner ever frees the block).
 func (b *Base) FreeBlocks(pbas []alloc.PBA) {
 	for _, pba := range pbas {
@@ -700,10 +706,10 @@ func (b *Base) TryDedupe(lba uint64, pba alloc.PBA, id chunk.ContentID) bool {
 	if alloc.IsRemote(pba) {
 		// Cross-shard dedupe against a tier-granted hint. The local
 		// content model cannot validate a peer's block; instead the
-		// binding itself is trusted: a hint enters the hot index only
-		// under a grant that pinned the canonical on its owner, the
-		// owner never mutates a pinned block, and a revoke purges the
-		// hint before the owner frees it — so an index hit on a
+		// binding itself is trusted: a hint enters the Hints table
+		// only under a grant that pinned the canonical on its owner,
+		// the owner never mutates a pinned block, and a revoke drops
+		// the hint before the owner frees it — so a hint hit on a
 		// remote target is valid by construction (fingerprints are
 		// injective over content IDs in both fingerprint modes).
 		// A down owner breaks the chain — its hints are purged on

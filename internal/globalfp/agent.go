@@ -82,6 +82,7 @@ type Agent struct {
 	paroleQ   []alloc.PBA
 	recalling map[alloc.PBA]*recallState // local canonical → revoke round
 	hinted    []uint64                   // bitset: local blocks holding the hinted pin
+	hints     *hintTable                 // granted fp → remote-canonical hints
 	msgBuf    []message                  // inbox drain scratch
 	freeBuf   [1]alloc.PBA
 
@@ -120,6 +121,9 @@ func New(b *engine.Base, t *Tier, shard int) *Agent {
 		inner:     b.Background(),
 		recalling: make(map[alloc.PBA]*recallState),
 		hinted:    make([]uint64, (b.DataBlocks()+63)/64),
+		// as many hints as the shard's iCache holds index entries: hint
+		// DRAM sits beside the iCache budget and never exceeds it
+		hints: newHintTable(int(b.Cfg.MemoryBytes / int64(b.Cfg.IndexEntryBytes))),
 	}
 	if s, ok := a.inner.(*bgdedup.Scanner); ok {
 		a.core = s.Core() // shared counters: folds show in bgdedup gauges too
@@ -128,11 +132,14 @@ func New(b *engine.Base, t *Tier, shard int) *Agent {
 	}
 	b.SetBackground(a)
 	b.Ads = a
+	b.Hints = a.hints.get
 	b.OnRemoteRef = a.onRemoteRef
 	b.SetOnParole(a.onParole)
 	t.register(shard, a)
 
 	b.Reg.GaugeFunc("globalfp_hints_installed", func() int64 { return a.hintsInstalled })
+	b.Reg.GaugeFunc("globalfp_hint_entries", func() int64 { return int64(a.hints.len()) })
+	b.Reg.GaugeFunc("globalfp_hints_evicted", func() int64 { return a.hints.evicted })
 	b.Reg.GaugeFunc("globalfp_remaps_applied", func() int64 { return a.remapsApplied })
 	b.Reg.GaugeFunc("globalfp_remaps_rejected", func() int64 { return a.remapsRejected })
 	b.Reg.GaugeFunc("globalfp_reclaimed_blocks", func() int64 { return a.reclaimed })
@@ -146,6 +153,15 @@ func New(b *engine.Base, t *Tier, shard int) *Agent {
 	b.Reg.GaugeFunc("globalfp_fold_backlog", func() int64 { return int64(len(a.foldQ)) })
 	return a
 }
+
+// Hint reports the remote canonical the shard's hint table binds fp
+// to. Call with the shard lock held.
+func (a *Agent) Hint(fp chunk.Fingerprint) (alloc.PBA, bool) { return a.hints.get(fp) }
+
+// PurgeOwner drops every hint naming a canonical on shard owner. The
+// serving layer calls it on every survivor when owner crashes, holding
+// every shard lock.
+func (a *Agent) PurgeOwner(owner int) { a.hints.purgeOwner(owner) }
 
 func (a *Agent) hintedTest(pba alloc.PBA) bool {
 	return a.hinted[pba>>6]&(1<<(uint(pba)&63)) != 0
@@ -215,9 +231,10 @@ func (a *Agent) Flush(now sim.Time) {
 
 // RecoverReset implements engine.BackgroundTask: all agent state is
 // volatile DRAM bookkeeping — queued folds, paroles, in-flight recalls,
-// and the hinted bitset die with the crash. Post-recovery pins are
-// rebuilt by the serving layer as ref pins only; the hinted pins are
-// simply gone, consistent with their table entries (tier.Reset).
+// the hint table, and the hinted bitset die with the crash.
+// Post-recovery pins are rebuilt by the serving layer as ref pins only;
+// the hinted pins are simply gone, consistent with their table entries
+// (tier.Reset).
 func (a *Agent) RecoverReset() {
 	a.foldQ = a.foldQ[:0]
 	a.paroleQ = a.paroleQ[:0]
@@ -225,6 +242,7 @@ func (a *Agent) RecoverReset() {
 		delete(a.recalling, k)
 	}
 	a.hinted = make([]uint64, (a.b.DataBlocks()+63)/64)
+	a.hints.clear()
 	if a.inner != nil {
 		a.inner.RecoverReset()
 	}
@@ -315,9 +333,11 @@ func (a *Agent) handle(now sim.Time, m message) {
 			a.freeLocal(local)
 		}
 	case msgRevoke:
-		// Purge the hint binding (and any cached read of the remote
-		// block) so no new references form, then ack. Existing remote
-		// mappings stay valid: this shard's ref pin holds the block.
+		// Drop the hint (unless a newer grant already rebound the
+		// fingerprint) and any cached read of the remote block, so no
+		// new references form, then ack. Existing remote mappings stay
+		// valid: this shard's ref pin holds the block.
+		a.hints.revoke(m.fp, m.canon)
 		a.b.IC.PurgePBA(m.canon)
 		owner, _ := alloc.RemoteParts(m.canon)
 		a.t.send(owner, message{kind: msgRevokeAck, canon: m.canon, from: a.shard, epoch: a.t.Epoch(a.shard)})
@@ -375,9 +395,9 @@ func (a *Agent) validCanonical(local alloc.PBA, fp chunk.Fingerprint) bool {
 }
 
 // handleGrant is the beneficiary side: install the fp → canonical hint
-// into the hot index and queue a fold of any local duplicate — the
+// into the hint table and queue a fold of any local duplicate — the
 // targeted copy a duplicate-hit ad named, or whatever local block the
-// index previously bound this fingerprint to.
+// hot index binds this fingerprint to.
 func (a *Agent) handleGrant(m message) {
 	dup, hasDup := m.dup, m.hasDup
 	if !hasDup {
@@ -385,7 +405,7 @@ func (a *Agent) handleGrant(m message) {
 			dup, hasDup = e.PBA, true
 		}
 	}
-	a.b.IC.IndexInsert(m.fp, m.canon)
+	a.hints.install(m.fp, m.canon)
 	a.hintsInstalled++
 	if hasDup {
 		a.foldQ = append(a.foldQ, foldReq{dup: dup, fp: m.fp, canon: m.canon})
@@ -471,9 +491,9 @@ func (a *Agent) applyFolds(now sim.Time, budget int) int {
 		f := a.foldQ[len(a.foldQ)-1]
 		a.foldQ = a.foldQ[:len(a.foldQ)-1]
 		n++
-		// The hint must still be the index's live binding: a revoke or
-		// eviction since enqueue invalidates the candidate.
-		if e, ok := a.b.IC.IndexPeek(f.fp); !ok || e.PBA != f.canon {
+		// The hint must still be live: a revoke or eviction since
+		// enqueue invalidates the candidate.
+		if c, ok := a.hints.get(f.fp); !ok || c != f.canon {
 			a.remapsRejected++
 			continue
 		}

@@ -13,14 +13,16 @@
 //   - Tier workers land ads on fingerprint-partitioned probe.Map
 //     tables. The first advertisement of a fingerprint registers its
 //     block as the canonical copy and asks the owning shard to grant
-//     index hints to every other shard; a later advertisement from a
+//     hints to every other shard; a later advertisement from a
 //     different shard is a detected cross-shard duplicate and emits a
 //     targeted remap candidate for the advertiser's copy.
 //   - Each shard's background actor (Agent, wrapping the bgdedup
 //     scanner) consumes grants and candidates in virtual time from the
 //     engine's per-request Tick: hints install fp → remote-canonical
-//     bindings into the local hot index (so the shard's next write of
-//     that content deduplicates inline against the peer's copy), and
+//     bindings into the agent's bounded hint table, which the write
+//     path consults on a hot-index miss (so the shard's next write of
+//     that content deduplicates inline against the peer's copy, and
+//     the iCache keeps the shard's own hot fingerprints), and
 //     candidates fold existing local duplicates through the bgdedup
 //     revalidated-merge path (re-read, re-hash, journaled Map.Set,
 //     refcount handoff) — so a stale advertisement is harmless by
@@ -33,7 +35,7 @@
 // 0↔1 local-reference transitions (RefUp/RefDown → one ref pin per
 // referencing shard); and a canonical whose local references vanished
 // while pinned goes on parole, triggering a recall: the tier drops its
-// table entry and broadcasts a revoke, every shard purges the hint and
+// table entry and broadcasts a revoke, every shard drops the hint and
 // acks, and the owner releases the hinted pin once all acks are in —
 // freeing the block unless ref pins remain. In-process delivery is a
 // single FIFO per receiving shard in real send order, which gives the
@@ -163,10 +165,14 @@ type message struct {
 
 // inbox is a shard's reliable control queue: a mutex-guarded slice
 // appended to in real send order (the single-process FIFO the protocol
-// orderings rely on).
+// orderings rely on). q[head:] is pending; take advances head instead
+// of shifting the backlog, and the consumed prefix is reclaimed once it
+// outgrows what is still pending (at the latest when the inbox drains),
+// so each message is copied O(1) times however deep the backlog runs.
 type inbox struct {
-	mu sync.Mutex
-	q  []message
+	mu   sync.Mutex
+	q    []message
+	head int
 }
 
 func (in *inbox) push(m message) {
@@ -178,19 +184,23 @@ func (in *inbox) push(m message) {
 // take moves up to n queued messages into dst (all of them when n < 0).
 func (in *inbox) take(dst []message, n int) []message {
 	in.mu.Lock()
-	k := len(in.q)
+	k := len(in.q) - in.head
 	if n >= 0 && k > n {
 		k = n
 	}
-	dst = append(dst, in.q[:k]...)
-	in.q = in.q[:copy(in.q, in.q[k:])]
+	dst = append(dst, in.q[in.head:in.head+k]...)
+	in.head += k
+	if pending := len(in.q) - in.head; pending <= in.head {
+		in.q = in.q[:copy(in.q, in.q[in.head:])]
+		in.head = 0
+	}
 	in.mu.Unlock()
 	return dst
 }
 
 func (in *inbox) len() int {
 	in.mu.Lock()
-	n := len(in.q)
+	n := len(in.q) - in.head
 	in.mu.Unlock()
 	return n
 }
@@ -198,5 +208,6 @@ func (in *inbox) len() int {
 func (in *inbox) clear() {
 	in.mu.Lock()
 	in.q = in.q[:0]
+	in.head = 0
 	in.mu.Unlock()
 }

@@ -254,6 +254,53 @@ func TestRecallFreesAbandonedCanonical(t *testing.T) {
 	c.check(t)
 }
 
+// TestWriteAfterRevokeNeverDedupsAgainstRevokedCanonical: once a shard
+// has processed the revoke for a canonical, its writes of that content
+// must go to fresh local blocks, even while the owner is still
+// collecting acks and the block is still pinned.
+func TestWriteAfterRevokeNeverDedupsAgainstRevokedCanonical(t *testing.T) {
+	c := newCluster(t, 2)
+	ids := seq(600, 4)
+	var fper chunk.SyntheticFingerprinter
+	fp := func(id chunk.ContentID) chunk.Fingerprint {
+		ch := chunk.Chunk{Content: id}
+		return fper.Fingerprint(&ch)
+	}
+
+	write(t, c.engs[0], 0, 0, ids)
+	c.settle(1000)
+	for _, id := range ids {
+		if canon, ok := c.agents[1].Hint(fp(id)); !ok || !alloc.IsRemote(canon) {
+			t.Fatalf("content %d: no hint on shard 1 (%v,%v)", id, canon, ok)
+		}
+	}
+
+	// Shard 0 abandons the canonicals: the recall revokes shard 1's
+	// hints, and shard 1 handles the revokes before the owner sees the
+	// acks.
+	write(t, c.engs[0], 2000, 0, seq(700, 4))
+	c.agents[0].DrainAll(3000)
+	c.agents[1].DrainAll(3000)
+	for _, id := range ids {
+		if canon, ok := c.agents[1].Hint(fp(id)); ok {
+			t.Fatalf("content %d: revoked hint %v still installed", id, canon)
+		}
+	}
+
+	write(t, c.engs[1], 4000, 0, ids)
+	if st := c.engs[1].Stats(); st.RemoteDeduped != 0 {
+		t.Fatalf("shard 1 remote-deduped %d chunks against a revoked canonical", st.RemoteDeduped)
+	}
+	b1 := c.engs[1].Base()
+	for i, id := range ids {
+		if got, ok := b1.ReadContent(uint64(i)); !ok || got != uint64(id) {
+			t.Fatalf("lba %d: local content %d,%v want %d", i, got, ok, id)
+		}
+	}
+	c.settle(5000)
+	c.check(t)
+}
+
 // TestStaleAdvertisementIsHarmless: an advertisement for a block that
 // was overwritten before the tier processed it must be rejected at the
 // owner (pin refused, table fixed) and never produce a grant.

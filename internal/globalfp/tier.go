@@ -193,7 +193,7 @@ func (t *Tier) processAd(a ad) {
 	e, ok := p.tbl.Find(a.fp)
 	if !ok {
 		// First sighting: register the canonical and ask its owner to
-		// grant index hints to every other shard — the proactive push
+		// grant hints to every other shard — the proactive push
 		// that lets a peer's first write of this content deduplicate
 		// inline instead of becoming a per-shard duplicate copy.
 		// Currently-down shards are excluded from the beneficiary set;

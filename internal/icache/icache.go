@@ -303,13 +303,11 @@ func (c *Controller) PurgePBA(pba alloc.PBA) {
 }
 
 // PurgeWhere removes every trace of every cached block whose PBA
-// matches pred — index hints (hot and ghost, via the reverse map), read
-// cache, and read ghost — and reports how many distinct PBAs were
+// matches pred — index entries (hot and ghost, via the reverse map),
+// read cache, and read ghost — and reports how many distinct PBAs were
 // purged. The serving layer uses it with a remote-owner predicate when
-// a peer shard crashes: hints naming the dead shard's canonicals must
-// go before its recovery frees unpinned blocks, or a surviving shard
-// could dedupe new writes against physical blocks that no longer hold
-// the hinted content.
+// a peer shard crashes, so no cached copy of the dead shard's
+// canonicals outlives its recovery freeing unpinned blocks.
 func (c *Controller) PurgeWhere(pred func(alloc.PBA) bool) int {
 	var victims []alloc.PBA
 	c.idxRev.Each(func(pba alloc.PBA, _ revEntry) bool {

@@ -114,16 +114,28 @@ func (t *Tracker) WriteJSON(path, label string, scale float64) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// MergeJSON appends this tracker's entries to the trajectory already
-// at path, so independent runs (e.g. a podload shard sweep after a
-// podbench regen) accumulate into one file. When path does not exist
-// it behaves like WriteJSON; when it does, the existing run context
-// (label, scale, Go version) is kept and only entries/total grow.
+// MergeJSON adds this tracker's entries to the trajectory already at
+// path, so independent runs (e.g. a podload shard sweep after a
+// podbench regen) accumulate into one file. An entry whose name is
+// already there replaces it in place (regenerating one entry); the
+// rest are appended. When path does not exist it behaves like
+// WriteJSON; when it does, the existing run context (label, scale, Go
+// version) is kept and only entries/total change.
 func (t *Tracker) MergeJSON(path, label string, scale float64) error {
 	traj := t.Trajectory(label, scale)
 	if prev, err := ReadJSON(path); err == nil {
-		prev.Entries = append(prev.Entries, traj.Entries...)
-		prev.TotalMS += traj.TotalMS
+	next:
+		for _, e := range traj.Entries {
+			prev.TotalMS += e.WallMS
+			for i := range prev.Entries {
+				if prev.Entries[i].Name == e.Name {
+					prev.TotalMS -= prev.Entries[i].WallMS
+					prev.Entries[i] = e
+					continue next
+				}
+			}
+			prev.Entries = append(prev.Entries, e)
+		}
 		traj = *prev
 	} else if !os.IsNotExist(err) {
 		return err

@@ -86,3 +86,34 @@ func TestAppendAndAnnotate(t *testing.T) {
 		t.Fatal("annotate after Measure lost")
 	}
 }
+
+func TestMergeJSONReplacesSameNameEntry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	var first Tracker
+	first.Append(Entry{Name: "a", WallMS: 10})
+	first.Append(Entry{Name: "b", WallMS: 20})
+	if err := first.WriteJSON(path, "seed", 1); err != nil {
+		t.Fatal(err)
+	}
+	var again Tracker
+	again.Append(Entry{Name: "a", WallMS: 3})
+	again.Append(Entry{Name: "c", WallMS: 5})
+	if err := again.MergeJSON(path, "rerun", 1); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadJSON(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Label != "seed" || len(got.Entries) != 3 {
+		t.Fatalf("merged trajectory %+v, want label seed and 3 entries", got)
+	}
+	for i, want := range []Entry{{Name: "a", WallMS: 3}, {Name: "b", WallMS: 20}, {Name: "c", WallMS: 5}} {
+		if e := got.Entries[i]; e.Name != want.Name || e.WallMS != want.WallMS {
+			t.Fatalf("entry %d = %s/%v, want %s/%v", i, e.Name, e.WallMS, want.Name, want.WallMS)
+		}
+	}
+	if got.TotalMS != 28 {
+		t.Fatalf("total %v, want 28", got.TotalMS)
+	}
+}

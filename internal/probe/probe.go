@@ -143,7 +143,10 @@ func (m *Map[K, V]) Put(k K, v V) {
 		if p, ok := m.fb[k]; ok {
 			*p = v
 		} else {
-			m.fb[k] = &v
+			// box a copy: taking &v would move the parameter to the
+			// heap on every Put, fast path included
+			nv := v
+			m.fb[k] = &nv
 		}
 		return
 	}

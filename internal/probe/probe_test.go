@@ -105,3 +105,23 @@ func TestDeterministicLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestPutDoesNotAllocate: once the table has room, a fast-path Put is
+// allocation-free, for new keys and updates alike.
+func TestPutDoesNotAllocate(t *testing.T) {
+	type val struct {
+		a uint64
+		b uint32
+	}
+	m := NewMap[[20]byte, val](1 << 12)
+	var k [20]byte
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		k[0], k[1] = byte(i), byte(i>>8)
+		m.Put(k, val{a: uint64(i)})
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("Put allocates %.1f times per call", allocs)
+	}
+}

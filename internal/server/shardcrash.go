@@ -48,11 +48,13 @@ func (s *Server) CrashShard(i int) error {
 	// A surviving hint naming a dead canonical is a time bomb: the
 	// rejoin re-audit frees canonicals whose references vanished, so a
 	// peer deduping against a stale hint after that could share a
-	// reused block. Purge them now, while every shard is quiescent.
+	// reused block. Purge them (and cached reads of the dead shard's
+	// blocks) now, while every shard is quiescent.
 	for j, sh := range s.shards {
 		if j == i {
 			continue
 		}
+		s.agents[j].PurgeOwner(i)
 		h, ok := sh.eng.(baseHolder)
 		if !ok {
 			continue

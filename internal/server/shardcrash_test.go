@@ -2,8 +2,11 @@ package server
 
 import (
 	"testing"
+	"time"
 
+	"github.com/pod-dedup/pod/internal/alloc"
 	"github.com/pod-dedup/pod/internal/chunk"
+	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/fault"
 	"github.com/pod-dedup/pod/internal/trace"
 	"github.com/pod-dedup/pod/internal/workload"
@@ -176,5 +179,86 @@ func TestCheckConsistencyToleratesDownShard(t *testing.T) {
 	}
 	if down := srv.DownShards(); len(down) != 1 || down[0] != 2 {
 		t.Fatalf("DownShards = %v, want [2]", down)
+	}
+}
+
+// TestCrashShardPurgesSurvivorHints: when a shard dies every survivor
+// drops the hints naming its canonicals (its rejoin may free them),
+// while hints naming live owners stay installed.
+func TestCrashShardPurgesSurvivorHints(t *testing.T) {
+	prof := workload.WebVM()
+	srv, err := New(Config{
+		Shards:    4,
+		GlobalFP:  true,
+		NewEngine: globalFPFactory(prof),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lbas := shardLBAs(srv)
+
+	var fper chunk.SyntheticFingerprinter
+	fpOf := func(id chunk.ContentID) chunk.Fingerprint {
+		ch := chunk.Chunk{Content: id}
+		return fper.Fingerprint(&ch)
+	}
+	const onDead, onLive = chunk.ContentID(40000), chunk.ContentID(41000)
+	hintOwner := func(shard int, id chunk.ContentID) int {
+		owner := -1
+		srv.WithEngine(shard, func(engine.Engine) {
+			if c, ok := srv.agents[shard].Hint(fpOf(id)); ok {
+				owner, _ = alloc.RemoteParts(c)
+			}
+		})
+		return owner
+	}
+
+	at := int64(0)
+	do := func(shard int, op trace.Op, content []chunk.ContentID) {
+		t.Helper()
+		at += 1000
+		res, err := srv.Do(&Request{Time: at, Op: op, LBA: lbas[shard], Chunks: 1, Content: content})
+		if err != nil || res.Err != nil {
+			t.Fatalf("shard %d: %v / %v", shard, err, res.Err)
+		}
+	}
+	do(0, trace.Write, []chunk.ContentID{onDead})
+	do(1, trace.Write, []chunk.ContentID{onLive})
+	// Grants travel asynchronously (tier workers, then the owner's and
+	// the beneficiary's ticks); tick every shard until they land.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if hintOwner(1, onDead) == 0 && hintOwner(2, onDead) == 0 && hintOwner(3, onDead) == 0 &&
+			hintOwner(2, onLive) == 1 && hintOwner(3, onLive) == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("hints never reached the peers")
+		}
+		for sid := range lbas {
+			do(sid, trace.Read, nil)
+		}
+	}
+
+	if err := srv.CrashShard(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, sid := range []int{1, 2, 3} {
+		if owner := hintOwner(sid, onDead); owner != -1 {
+			t.Fatalf("shard %d still holds a hint naming crashed shard %d", sid, owner)
+		}
+	}
+	for _, sid := range []int{2, 3} {
+		if owner := hintOwner(sid, onLive); owner != 1 {
+			t.Fatalf("shard %d lost its hint naming live shard 1 (owner %d)", sid, owner)
+		}
+	}
+	if _, err := srv.RecoverShard(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }
