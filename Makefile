@@ -6,7 +6,9 @@ GO ?= go
 
 all: build vet test
 
-# CI gate: vet, build, the full test suite under the race detector,
+# CI gate: vet, build, vet of the separate perfbench module (root
+# `./...` never compiles it, so an internal API change could break the
+# benchmark unseen), the full test suite under the race detector,
 # then short serving-mode, metrics, and chaos smoke runs. The
 # experiment-matrix tests already run at reduced scale (see
 # internal/experiments testScale), which keeps the race run to a couple
@@ -14,6 +16,7 @@ all: build vet test
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
+	cd perfbench && $(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) smoke-serve
 	$(MAKE) smoke-metrics

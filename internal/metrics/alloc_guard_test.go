@@ -17,7 +17,7 @@ func TestHotPathInstrumentsAllocFree(t *testing.T) {
 		c.Add(2)
 		g.Add(1)
 		g.Add(-1)
-		h.Observe(4096)
+		h.Add(4096)
 	})
 	if avg != 0 {
 		t.Fatalf("metric updates: %.2f allocs/op, want 0", avg)

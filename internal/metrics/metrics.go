@@ -5,10 +5,10 @@
 //
 // Design rules:
 //
-//   - Handles (Counter, Gauge, Histogram) are resolved by name once, at
-//     construction/instrumentation time; the hot path then performs
-//     plain integer arithmetic on pre-allocated state. No map lookups,
-//     no interface boxing, no allocation per observation.
+//   - Handles (Counter, Gauge, stats.Histogram) are resolved by name
+//     once, at construction/instrumentation time; the hot path then
+//     performs plain integer arithmetic on pre-allocated state. No map
+//     lookups, no interface boxing, no allocation per observation.
 //   - A Registry is single-writer: it belongs to one engine (one shard)
 //     and is mutated only by that engine's serving goroutine. Readers
 //     (snapshots) must synchronize externally — the sharded server
@@ -19,17 +19,19 @@
 //     Per-shard views stay available through shard-labeled metric names
 //     (see Labeled).
 //   - All durations are simulated microseconds, matching the rest of
-//     the repository; histograms are fixed-size log₂-bucketed so they
-//     merge exactly and never allocate after creation.
+//     the repository. Histograms are stats.Histogram, the one log₂
+//     histogram of the repository (the engines' response times use it
+//     too), so they merge exactly and never allocate after creation.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"strings"
 	"sync"
+
+	"github.com/pod-dedup/pod/internal/stats"
 )
 
 // Counter is a monotonically increasing tally. Not synchronized: owned
@@ -64,63 +66,6 @@ func (g *Gauge) Add(delta int64) { g.v += delta }
 // Value reports the current value.
 func (g *Gauge) Value() int64 { return g.v }
 
-// HistBuckets is the fixed bucket count of every histogram: bucket i
-// covers [2^(i-1), 2^i) microseconds (bucket 0 holds only zero), the
-// same log₂ layout as the response-time histograms in internal/stats,
-// so the two views of one replay always agree.
-const HistBuckets = 64
-
-// Histogram is a fixed-bucket log₂-scale histogram over non-negative
-// integer samples (simulated microseconds). Observing never allocates.
-type Histogram struct {
-	name    string
-	buckets [HistBuckets]int64
-	n       int64
-	sum     int64
-	max     int64
-}
-
-func histBucketOf(v int64) int {
-	if v < 1 {
-		return 0
-	}
-	b := 64 - bits.LeadingZeros64(uint64(v))
-	if b > HistBuckets-1 {
-		b = HistBuckets - 1
-	}
-	return b
-}
-
-// Observe records one sample; negative samples clamp to zero.
-func (h *Histogram) Observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.buckets[histBucketOf(v)]++
-	h.n++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// N reports the number of samples.
-func (h *Histogram) N() int64 { return h.n }
-
-// Sum reports the sample total.
-func (h *Histogram) Sum() int64 { return h.sum }
-
-// Max reports the largest sample.
-func (h *Histogram) Max() int64 { return h.max }
-
-// Mean reports the arithmetic mean, 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
 // gaugeFunc is a callback gauge, evaluated at snapshot time. It costs
 // nothing on the hot path, which makes it the right shape for values a
 // substrate already tracks (cache occupancy, journal tail, hit totals).
@@ -137,7 +82,7 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	gaugeFuncs map[string]*gaugeFunc
-	hists      map[string]*Histogram
+	hists      map[string]*stats.Histogram
 	phases     *PhaseSet
 }
 
@@ -147,7 +92,7 @@ func NewRegistry() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		gaugeFuncs: make(map[string]*gaugeFunc),
-		hists:      make(map[string]*Histogram),
+		hists:      make(map[string]*stats.Histogram),
 	}
 }
 
@@ -211,14 +156,14 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 
 // Histogram returns the histogram registered under name, creating it on
 // first use.
-func (r *Registry) Histogram(name string) *Histogram {
+func (r *Registry) Histogram(name string) *stats.Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
 	r.checkFree(name, "histogram")
-	h := &Histogram{name: name}
+	h := stats.NewHistogram()
 	r.hists[name] = h
 	return h
 }
@@ -256,8 +201,7 @@ func (r *Registry) Reset() {
 		g.v = 0
 	}
 	for _, h := range r.hists {
-		name := h.name
-		*h = Histogram{name: name}
+		h.Reset()
 	}
 	if r.phases != nil {
 		r.phases.last = [NumPhases]int64{}

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"github.com/pod-dedup/pod/internal/stats"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -55,48 +57,68 @@ func TestGaugeFuncReplaceOnReregister(t *testing.T) {
 	}
 }
 
+// Snapshots keep only the non-empty buckets, each labeled with its
+// inclusive upper bound 2^i - 1 (MaxInt64 for the top bucket).
 func TestHistogramBucketing(t *testing.T) {
-	var h Histogram
-	for _, v := range []int64{0, 1, 2, 3, 4, 100, -5} {
-		h.Observe(v)
+	r := NewRegistry()
+	h := r.Histogram("h")
+	for _, v := range []int64{0, 1, 2, 3, 4, 100, -5, 1 << 62} {
+		h.Add(v)
 	}
-	if h.N() != 7 {
-		t.Fatalf("N = %d, want 7", h.N())
-	}
-	if h.Sum() != 110 {
-		t.Fatalf("Sum = %d, want 110", h.Sum())
-	}
-	if h.Max() != 100 {
-		t.Fatalf("Max = %d, want 100", h.Max())
+	s := r.Snapshot().Histograms["h"]
+	if s.N != 8 || s.Sum != 110+1<<62 || s.Max != 1<<62 {
+		t.Fatalf("N/Sum/Max = %d/%d/%d, want 8/%d/%d", s.N, s.Sum, s.Max, int64(110+1<<62), int64(1<<62))
 	}
 	// 0 and the clamped -5 land in bucket 0; 1 in bucket 1; 2,3 in
-	// bucket 2; 4 in bucket 3; 100 in bucket 7.
-	want := map[int]int64{0: 2, 1: 1, 2: 2, 3: 1, 7: 1}
-	for i, c := range h.buckets {
-		if c != want[i] {
-			t.Fatalf("bucket[%d] = %d, want %d", i, c, want[i])
+	// bucket 2; 4 in bucket 3; 100 in bucket 7; 2^62 in bucket 63.
+	want := []Bucket{{0, 2}, {1, 1}, {3, 2}, {7, 1}, {127, 1}, {math.MaxInt64, 1}}
+	if len(s.Buckets) != len(want) {
+		t.Fatalf("buckets = %+v, want %+v", s.Buckets, want)
+	}
+	for i := range want {
+		if s.Buckets[i] != want[i] {
+			t.Fatalf("buckets = %+v, want %+v", s.Buckets, want)
 		}
 	}
 }
 
+// A snapshot's percentile must equal the live histogram's: one
+// estimator, whichever view a report reads. Covers random sample sets
+// plus the small cases where interpolation is most fragile (all zeros,
+// a single sample).
 func TestHistogramSnapshotPercentile(t *testing.T) {
-	var h Histogram
-	for i := int64(1); i <= 1000; i++ {
-		h.Observe(i)
+	rng := rand.New(rand.NewSource(7))
+	sets := [][]int64{
+		{0, 0, 0, 0},
+		{7},
+		{0},
+		{1},
+		{1 << 62, math.MaxInt64},
 	}
-	s := snapHistogram(&h)
-	for _, tc := range []struct{ p, lo, hi float64 }{
-		{50, 250, 1000},
-		{99, 512, 1000},
-		{100, 512, 1000},
-	} {
-		got := s.Percentile(tc.p)
-		if got < tc.lo || got > tc.hi {
-			t.Errorf("p%.0f = %.1f, want within [%.0f, %.0f]", tc.p, got, tc.lo, tc.hi)
+	ramp := make([]int64, 1000)
+	for i := range ramp {
+		ramp[i] = int64(i + 1)
+	}
+	sets = append(sets, ramp)
+	for i := 0; i < 200; i++ {
+		set := make([]int64, 1+rng.Intn(300))
+		for j := range set {
+			set[j] = rng.Int63n(1 << uint(rng.Intn(40)))
 		}
+		sets = append(sets, set)
 	}
-	if s.Percentile(100) > float64(h.Max()) {
-		t.Errorf("p100 %.1f exceeds max %d", s.Percentile(100), h.Max())
+	for _, set := range sets {
+		r := NewRegistry()
+		h := r.Histogram("x")
+		for _, v := range set {
+			h.Add(v)
+		}
+		s := r.Snapshot().Histograms["x"]
+		for _, p := range []float64{1, 50, 95, 99} {
+			if got, want := s.Percentile(p), h.Percentile(p); got != want {
+				t.Fatalf("n=%d p%.0f: snapshot %v, live %v", len(set), p, got, want)
+			}
+		}
 	}
 }
 
@@ -105,21 +127,21 @@ func TestHistogramSnapshotPercentile(t *testing.T) {
 // This is the property the server's cross-shard aggregation relies on.
 func TestHistSnapshotMergeMatchesGlobal(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var global Histogram
-	shards := make([]*Histogram, 4)
+	global := stats.NewHistogram()
+	shards := make([]*stats.Histogram, 4)
 	for i := range shards {
-		shards[i] = &Histogram{}
+		shards[i] = stats.NewHistogram()
 	}
 	for i := 0; i < 10000; i++ {
 		v := rng.Int63n(1 << uint(rng.Intn(40)))
-		global.Observe(v)
-		shards[rng.Intn(len(shards))].Observe(v)
+		global.Add(v)
+		shards[rng.Intn(len(shards))].Add(v)
 	}
 	merged := &HistSnapshot{}
 	for _, sh := range shards {
 		merged.Merge(snapHistogram(sh))
 	}
-	want := snapHistogram(&global)
+	want := snapHistogram(global)
 	if merged.N != want.N || merged.Sum != want.Sum || merged.Max != want.Max {
 		t.Fatalf("merged N/Sum/Max = %d/%d/%d, want %d/%d/%d",
 			merged.N, merged.Sum, merged.Max, want.N, want.Sum, want.Max)
@@ -135,9 +157,9 @@ func TestHistSnapshotMergeMatchesGlobal(t *testing.T) {
 }
 
 func TestHistSnapshotMergeEmptyAndNil(t *testing.T) {
-	var h Histogram
-	h.Observe(10)
-	s := snapHistogram(&h)
+	h := stats.NewHistogram()
+	h.Add(10)
+	s := snapHistogram(h)
 	before := *s
 	s.Merge(nil)
 	s.Merge(&HistSnapshot{})
@@ -148,7 +170,7 @@ func TestHistSnapshotMergeEmptyAndNil(t *testing.T) {
 
 func TestSnapshotMergeClonesHistograms(t *testing.T) {
 	r := NewRegistry()
-	r.Histogram("h").Observe(5)
+	r.Histogram("h").Add(5)
 	a := r.Snapshot()
 	dst := NewSnapshot()
 	dst.Merge(a)
@@ -183,12 +205,8 @@ func TestPhaseSetTimeline(t *testing.T) {
 		t.Fatalf("Begin did not clear scratch: %d", got)
 	}
 	// Histograms persist across Begin.
-	if n := ps.Hist(PhaseDiskWrite).N(); n != 2 {
+	if n := r.Snapshot().Histograms["phase_disk_write_us"].N; n != 2 {
 		t.Fatalf("disk_write histogram N = %d, want 2", n)
-	}
-	snap := r.Snapshot()
-	if snap.Histograms["phase_disk_write_us"].N != 2 {
-		t.Fatal("phase histogram missing from snapshot")
 	}
 }
 
@@ -196,7 +214,7 @@ func TestRegistryReset(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(9)
 	r.Gauge("g").Set(3)
-	r.Histogram("h").Observe(100)
+	r.Histogram("h").Add(100)
 	live := int64(11)
 	r.GaugeFunc("f", func() int64 { return live })
 	r.Reset()
@@ -229,7 +247,7 @@ func TestTraceRing(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("reqs").Add(2)
-	r.Histogram("lat_us").Observe(300)
+	r.Histogram("lat_us").Add(300)
 	s := r.Snapshot()
 	s.Traces = []TraceRecord{{Seq: 1, Op: "W", Phases: map[string]int64{"disk_write": 120}}}
 	var buf bytes.Buffer
@@ -250,8 +268,8 @@ func TestWritePrometheus(t *testing.T) {
 	r.Counter("server_shed_total").Add(3)
 	r.Gauge(Labeled("server_queue_depth", "shard", "0")).Set(4)
 	h := r.Histogram(Labeled("server_queue_wait_us", "shard", "0"))
-	h.Observe(1)
-	h.Observe(500)
+	h.Add(1)
+	h.Add(500)
 	var buf bytes.Buffer
 	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -309,7 +327,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Set(9)
-		h.Observe(123)
+		h.Add(123)
 		ps.Begin()
 		ps.Observe(PhaseDiskWrite, 77)
 	})

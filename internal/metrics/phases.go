@@ -1,5 +1,7 @@
 package metrics
 
+import "github.com/pod-dedup/pod/internal/stats"
+
 // Phase identifies one stage of a request's life inside an engine
 // shard. The write path decomposes into queue wait (server only),
 // chunking/fingerprinting, index probe (on-disk index zone I/O),
@@ -55,7 +57,7 @@ func (p Phase) String() string {
 // scratch, accumulating when one request issues several I/Os in the
 // same phase.
 type PhaseSet struct {
-	hists [NumPhases]*Histogram
+	hists [NumPhases]*stats.Histogram
 	last  [NumPhases]int64
 }
 
@@ -80,12 +82,9 @@ func (ps *PhaseSet) Observe(p Phase, us int64) {
 	if us < 0 {
 		us = 0
 	}
-	ps.hists[p].Observe(us)
+	ps.hists[p].Add(us)
 	ps.last[p] += us
 }
-
-// Hist returns the histogram backing phase p.
-func (ps *PhaseSet) Hist(p Phase) *Histogram { return ps.hists[p] }
 
 // Last reports the scratch value of phase p for the request currently
 // being (or last) served.

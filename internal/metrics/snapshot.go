@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"math/bits"
 	"strings"
+
+	"github.com/pod-dedup/pod/internal/stats"
 )
 
 // Bucket is one non-empty histogram bucket in a snapshot. LE is the
@@ -18,7 +20,7 @@ type Bucket struct {
 	Count int64 `json:"count"`
 }
 
-// HistSnapshot is an immutable, sparse copy of a Histogram: only
+// HistSnapshot is an immutable, sparse copy of a stats.Histogram: only
 // non-empty buckets are kept, so snapshots of mostly-empty histograms
 // stay small in JSON.
 type HistSnapshot struct {
@@ -28,9 +30,9 @@ type HistSnapshot struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-func snapHistogram(h *Histogram) *HistSnapshot {
-	s := &HistSnapshot{N: h.n, Sum: h.sum, Max: h.max}
-	for i, c := range h.buckets {
+func snapHistogram(h *stats.Histogram) *HistSnapshot {
+	s := &HistSnapshot{N: h.N(), Sum: h.Sum(), Max: h.Max()}
+	for i, c := range h.Buckets() {
 		if c != 0 {
 			le := bucketUpper(i) - 1
 			if bucketUpper(i) == math.MaxInt64 {
@@ -42,6 +44,16 @@ func snapHistogram(h *Histogram) *HistSnapshot {
 	return s
 }
 
+// hist expands the snapshot back into a live histogram. Bucket i's LE
+// is 2^i - 1, whose bit length is i.
+func (s *HistSnapshot) hist() *stats.Histogram {
+	var b [stats.NumBuckets]int64
+	for _, bk := range s.Buckets {
+		b[bits.Len64(uint64(bk.LE))] += bk.Count
+	}
+	return stats.HistogramOf(b, s.N, s.Sum, s.Max)
+}
+
 // Mean reports the snapshot's arithmetic mean, 0 when empty.
 func (s *HistSnapshot) Mean() float64 {
 	if s.N == 0 {
@@ -50,36 +62,10 @@ func (s *HistSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.N)
 }
 
-// Percentile estimates the p-th percentile (0 < p <= 100) by linear
-// interpolation within the covering log₂ bucket, the same estimator
-// as stats.Histogram.Percentile so the two latency views agree.
-func (s *HistSnapshot) Percentile(p float64) float64 {
-	if s.N == 0 {
-		return 0
-	}
-	rank := p / 100 * float64(s.N)
-	var cum int64
-	for _, b := range s.Buckets {
-		cum += b.Count
-		if float64(cum) >= rank {
-			hi := float64(b.LE) + 1
-			lo := hi / 2
-			if b.LE <= 0 {
-				lo, hi = 0, 1
-			}
-			if b.LE == math.MaxInt64 {
-				return float64(s.Max)
-			}
-			frac := (rank - float64(cum-b.Count)) / float64(b.Count)
-			v := lo + frac*(hi-lo)
-			if v > float64(s.Max) && s.Max > 0 {
-				v = float64(s.Max)
-			}
-			return v
-		}
-	}
-	return float64(s.Max)
-}
+// Percentile estimates the p-th percentile (0 < p <= 100) with
+// stats.Histogram's estimator, so a snapshot reports exactly what the
+// live histogram would.
+func (s *HistSnapshot) Percentile(p float64) float64 { return s.hist().Percentile(p) }
 
 // Merge adds other's samples into s bucket-wise. Because both sides
 // share the fixed log₂ layout the merge is exact: merging per-shard
@@ -89,24 +75,9 @@ func (s *HistSnapshot) Merge(other *HistSnapshot) {
 	if other == nil || other.N == 0 {
 		return
 	}
-	s.N += other.N
-	s.Sum += other.Sum
-	if other.Max > s.Max {
-		s.Max = other.Max
-	}
-	byLE := make(map[int64]int64, len(s.Buckets)+len(other.Buckets))
-	for _, b := range s.Buckets {
-		byLE[b.LE] += b.Count
-	}
-	for _, b := range other.Buckets {
-		byLE[b.LE] += b.Count
-	}
-	merged := make([]Bucket, 0, len(byLE))
-	for le, c := range byLE {
-		merged = append(merged, Bucket{LE: le, Count: c})
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].LE < merged[j].LE })
-	s.Buckets = merged
+	h := s.hist()
+	h.Merge(other.hist())
+	*s = *snapHistogram(h)
 }
 
 // Clone returns an independent deep copy.

@@ -10,6 +10,7 @@ import (
 	"github.com/pod-dedup/pod/internal/engine"
 	"github.com/pod-dedup/pod/internal/globalfp"
 	"github.com/pod-dedup/pod/internal/metrics"
+	"github.com/pod-dedup/pod/internal/stats"
 )
 
 // baseHolder matches engines exposing their substrate (Select-Dedupe
@@ -82,13 +83,15 @@ func (s *Server) initRemovalGauges() {
 			func() int64 { return int64(sh.eng.Stats().WriteRemovalPct() * 100) })
 	}
 	s.reg.GaugeFunc("server_writes_removed_pct_x100", func() int64 {
-		agg := engine.NewStats()
+		var removed, writes int64
 		for _, sh := range s.shards {
 			sh.mu.Lock()
-			agg.Merge(sh.eng.Stats())
+			st := sh.eng.Stats()
+			removed += st.WritesRemoved
+			writes += st.Writes
 			sh.mu.Unlock()
 		}
-		return int64(agg.WriteRemovalPct() * 100)
+		return int64(stats.Ratio(removed, writes) * 100)
 	})
 }
 

@@ -265,13 +265,15 @@ type shard struct {
 
 	// metric handles resolved at construction: the engine's phase set
 	// (queue wait is observed into it after each serve so sampled
-	// traces carry the full timeline) and shard-labeled queue-wait and
-	// service histograms, registered in the shard engine's registry.
-	ph    *metrics.PhaseSet
-	qwait *metrics.Histogram
-	svc   *metrics.Histogram
-	seq   int64
-	ring  *metrics.TraceRing
+	// traces carry the full timeline) and shard-labeled queue-wait,
+	// service and sojourn histograms, registered in the shard engine's
+	// registry.
+	ph      *metrics.PhaseSet
+	qwait   *stats.Histogram
+	svc     *stats.Histogram
+	sojourn *stats.Histogram
+	seq     int64
+	ring    *metrics.TraceRing
 
 	// mu serializes the worker's serving rounds against snapshots,
 	// ReadContent, WithEngine, and recovery. The worker holds it only
@@ -280,7 +282,6 @@ type shard struct {
 	mu        sync.Mutex
 	nextFree  sim.Time // Queued: virtual time the engine frees up
 	lastStart sim.Time // monotonicity clamp for Passthrough
-	lat       *stats.Histogram
 	completed int64
 	batches   int64
 	maxBatch  int
@@ -376,13 +377,13 @@ func New(cfg Config) (*Server, error) {
 		label := strconv.Itoa(i)
 		reg := eng.Metrics()
 		sh := &shard{
-			id:    i,
-			ch:    make(chan envelope, cfg.QueueDepth),
-			eng:   eng,
-			lat:   stats.NewHistogram(),
-			ph:    reg.Phases(),
-			qwait: reg.Histogram(metrics.Labeled("server_queue_wait_us", "shard", label)),
-			svc:   reg.Histogram(metrics.Labeled("server_service_us", "shard", label)),
+			id:      i,
+			ch:      make(chan envelope, cfg.QueueDepth),
+			eng:     eng,
+			ph:      reg.Phases(),
+			qwait:   reg.Histogram(metrics.Labeled("server_queue_wait_us", "shard", label)),
+			svc:     reg.Histogram(metrics.Labeled("server_service_us", "shard", label)),
+			sojourn: reg.Histogram(metrics.Labeled("server_sojourn_us", "shard", label)),
 		}
 		if cfg.TraceSample > 0 {
 			sh.ring = metrics.NewTraceRing(cfg.TraceBuf)
@@ -683,10 +684,9 @@ func (sh *shard) serve(env envelope, cfg *Config) {
 	// returns for the sampled timeline to include it.
 	qw := int64(start.Sub(arrival))
 	sh.ph.Observe(metrics.PhaseQueueWait, qw)
-	sh.qwait.Observe(qw)
-	sh.svc.Observe(int64(rt))
-
-	sh.lat.Add(int64(sojourn))
+	sh.qwait.Add(qw)
+	sh.svc.Add(int64(rt))
+	sh.sojourn.Add(int64(sojourn))
 	sh.completed++
 
 	if cfg.TraceSample > 0 && sh.seq%int64(cfg.TraceSample) == 0 {
@@ -938,8 +938,8 @@ type ShardSnapshot struct {
 }
 
 // Snapshot is a merged view of the server's counters: per-shard engine
-// statistics aggregated with engine.Stats.Merge, sojourn latency
-// histograms merged, plus serving-layer counters.
+// statistics aggregated with engine.Stats.Merge, the shards'
+// server_sojourn_us histograms merged, plus serving-layer counters.
 type Snapshot struct {
 	Shards     int
 	Completed  int64
@@ -987,7 +987,7 @@ func (s *Server) Stats() Snapshot {
 		sh.mu.Lock()
 		snap.Completed += sh.completed
 		snap.Engine.Merge(sh.eng.Stats())
-		snap.Latency.Merge(sh.lat)
+		snap.Latency.Merge(sh.sojourn)
 		snap.UsedBlocks += sh.eng.UsedBlocks()
 		snap.Metrics.Merge(sh.eng.Metrics().Snapshot())
 		if sh.anyServed {

@@ -1,122 +1,28 @@
-// Package stats provides the streaming statistics used by the POD
-// evaluation harness: Welford mean/variance accumulators, log-scale
-// latency histograms with percentile estimation, and simple counters.
+// Package stats provides the statistics used by the POD evaluation
+// harness and the metrics registry: the log₂-bucketed latency histogram
+// with its percentile estimator, and small ratio and table helpers.
 //
 // Everything here is allocation-light and deterministic so that replay
 // results are byte-for-byte reproducible.
 package stats
 
 import (
-	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
-// Summary is a streaming accumulator for mean and variance using
-// Welford's online algorithm, plus min/max tracking.
-type Summary struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
-}
-
-// NewSummary returns an empty accumulator.
-func NewSummary() *Summary {
-	return &Summary{min: math.Inf(1), max: math.Inf(-1)}
-}
-
-// Add records one observation.
-func (s *Summary) Add(x float64) {
-	s.n++
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-	if x < s.min {
-		s.min = x
-	}
-	if x > s.max {
-		s.max = x
-	}
-}
-
-// N reports the number of observations.
-func (s *Summary) N() int64 { return s.n }
-
-// Mean reports the arithmetic mean, or 0 with no observations.
-func (s *Summary) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.mean
-}
-
-// Sum reports the total of all observations.
-func (s *Summary) Sum() float64 { return s.mean * float64(s.n) }
-
-// Variance reports the unbiased sample variance.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev reports the sample standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min reports the smallest observation, or 0 with no observations.
-func (s *Summary) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max reports the largest observation, or 0 with no observations.
-func (s *Summary) Max() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.max
-}
-
-// Merge folds another summary into s (parallel-reduction friendly).
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	mean := s.mean + d*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	mn, mx := s.min, s.max
-	if o.min < mn {
-		mn = o.min
-	}
-	if o.max > mx {
-		mx = o.max
-	}
-	*s = Summary{n: n, mean: mean, m2: m2, min: mn, max: mx}
-}
-
-// Reset clears the accumulator.
-func (s *Summary) Reset() { *s = *NewSummary() }
-
-// String renders "mean±std [min,max] (n)".
-func (s *Summary) String() string {
-	return fmt.Sprintf("%.3f±%.3f [%.3f,%.3f] (n=%d)", s.Mean(), s.StdDev(), s.Min(), s.Max(), s.n)
-}
+// NumBuckets is the fixed bucket count of every Histogram.
+const NumBuckets = 64
 
 // Histogram is a log₂-bucketed latency histogram over non-negative
-// integer samples (microseconds in this repository). Bucket i covers
-// [2^i, 2^(i+1)); bucket 0 covers [0,2). Percentiles are estimated by
-// linear interpolation within a bucket.
+// integer samples (microseconds in this repository). Bucket 0 holds
+// only 0; bucket i ≥ 1 covers [2^(i-1), 2^i), so bucket 1 is [1, 2)
+// and bucket 63 tops out at MaxInt64. Percentiles are estimated by
+// linear interpolation within a bucket. The layout is fixed, so
+// histograms merge exactly and never allocate after creation.
 type Histogram struct {
-	buckets [64]int64
+	buckets [NumBuckets]int64
 	n       int64
 	sum     int64
 	max     int64
@@ -125,23 +31,17 @@ type Histogram struct {
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
-func bucketOf(v int64) int {
-	if v < 1 {
-		return 0
-	}
-	return 64 - leadingZeros64(uint64(v))
+// HistogramOf rebuilds a histogram from its bucket counts and its
+// sample count, total and maximum — the inverse of reading Buckets, N,
+// Sum and Max. Sparse snapshots use it to share the estimator and the
+// merge with live histograms.
+func HistogramOf(buckets [NumBuckets]int64, n, sum, max int64) *Histogram {
+	return &Histogram{buckets: buckets, n: n, sum: sum, max: max}
 }
 
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
+// bucketOf reports the bucket of a non-negative sample: its bit length.
+func bucketOf(v int64) int {
+	return 64 - bits.LeadingZeros64(uint64(v))
 }
 
 // Add records one sample; negative samples are clamped to zero.
@@ -149,11 +49,7 @@ func (h *Histogram) Add(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	b := bucketOf(v)
-	if b > 63 {
-		b = 63
-	}
-	h.buckets[b]++
+	h.buckets[bucketOf(v)]++
 	h.n++
 	h.sum += v
 	if v > h.max {
@@ -178,6 +74,9 @@ func (h *Histogram) Sum() int64 { return h.sum }
 // Max reports the largest sample seen.
 func (h *Histogram) Max() int64 { return h.max }
 
+// Buckets returns a copy of the per-bucket sample counts.
+func (h *Histogram) Buckets() [NumBuckets]int64 { return h.buckets }
+
 // Percentile estimates the p-th percentile (0 < p ≤ 100).
 func (h *Histogram) Percentile(p float64) float64 {
 	if h.n == 0 {
@@ -193,11 +92,11 @@ func (h *Histogram) Percentile(p float64) float64 {
 			continue
 		}
 		if seen+float64(c) >= rank {
-			lo := float64(int64(1) << uint(i-1))
-			if i == 0 {
-				lo = 0
+			lo, hi := 0.0, 1.0
+			if i > 0 {
+				hi = math.Ldexp(1, i)
+				lo = hi / 2
 			}
-			hi := float64(int64(1) << uint(i))
 			frac := (rank - seen) / float64(c)
 			v := lo + frac*(hi-lo)
 			if v > float64(h.max) {
@@ -224,18 +123,6 @@ func (h *Histogram) Merge(o *Histogram) {
 
 // Reset clears the histogram.
 func (h *Histogram) Reset() { *h = Histogram{} }
-
-// Counter is a named monotonically increasing tally.
-type Counter struct {
-	Name  string
-	Value int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Value++ }
-
-// Addn adds n.
-func (c *Counter) Addn(n int64) { c.Value += n }
 
 // Ratio returns a/b as a percentage, 0 when b is 0.
 func Ratio(a, b int64) float64 {
